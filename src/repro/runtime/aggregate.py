@@ -1,33 +1,25 @@
-"""Micro-batch aggregation: representative instances with report fan-out.
+"""Fast-fidelity micro-batch collapse with report fan-out.
 
 The kernel generator emits every thread-block program as uniform
 micro-batch *runs*: for each task side assigned to a TB, the ``M``
 instances ``(task, side, 0..M-1)`` appear consecutively.  Siblings of
 one run share their route, per-TB send cap, receive copy duration, and
 dependency shape — everything about them is identical except *when* they
-execute, because the TB serializes them.  Aggregation exploits the
-identical part at two fidelity levels:
+execute, because the TB serializes them.
 
-* **Exact** (``SimConfig.aggregate_microbatches``) — one representative
-  instance's *schedule metadata* (validation, route edges, send cap,
-  receive copy duration, route latency) is computed once per task and
-  shared across its siblings.  Timing is untouched, so reports are
-  bit-identical to fully expanded bookkeeping; the golden determinism
-  suite pins this.
-
-* **Fast** (``SimConfig.collapse_microbatches``, part of the ``fast``
-  fidelity preset) — :func:`collapse_microbatch_runs` rewrites the plan
-  so each run becomes a *single* representative instance carrying the
-  run's whole payload (``chunk_bytes * M``), and
-  :func:`expand_report` fans the representative back out into ``M``
-  per-instance report entries afterwards.  This is approximate: it
-  ignores the per-instance route-latency gaps and FIFO-credit
-  round-trips between siblings (error sources and the measured bound
-  live in ``docs/performance.md``; ``benchmarks/test_sim_scale.py``
-  asserts the bound).  Collapse is refused whenever a fault injector,
-  recovery policy, or background traffic is present — sibling timing is
-  then observable (checkpoints, per-instance retries, contention from
-  outside the plan), so only the expanded simulation is correct.
+``SimConfig.collapse_microbatches`` (part of the ``fast`` fidelity
+preset) exploits that: :func:`collapse_microbatch_runs` rewrites the
+plan so each run becomes a *single* representative instance carrying
+the run's whole payload (``chunk_bytes * M``), and :func:`expand_report`
+fans the representative back out into ``M`` per-instance report entries
+afterwards.  This is approximate: it ignores the per-instance
+route-latency gaps and FIFO-credit round-trips between siblings (error
+sources and the measured bound live in ``docs/performance.md``;
+``benchmarks/test_sim_scale.py`` asserts the bound).  Collapse is refused
+whenever a fault injector, recovery policy, or background traffic is
+present — sibling timing is then observable (checkpoints, per-instance
+retries, contention from outside the plan), so only the expanded
+simulation is correct.
 """
 
 from __future__ import annotations

@@ -35,12 +35,16 @@ capacity, and its fault derating factor.  The network therefore keeps
 
 A reallocation pass then recomputes shares for the *dirty* edges only
 and re-rates only the flows crossing them; every other edge's share is
-served from the cache bit-for-bit.  Setting ``incremental=False``
-selects the brute-force reference allocator (recompute every occupied
-edge, re-rate every live flow) that the golden determinism tests and the
-``benchmarks/test_perf_scaling.py`` baseline compare against: both modes
-produce identical rates, and hence bit-identical simulations (see
-``docs/performance.md``).
+served from the cache bit-for-bit.
+
+A pass that re-rates at least :data:`VECTORIZE_MIN_FLOWS` flows runs a
+numpy re-rater instead of the Python loop.  Its numpy mirrors of the
+flow table are built the first time a pass reaches that size and kept
+from then on, so runs that never get there pay no upkeep for them.
+Both re-raters produce bit-identical rates.  The brute-force allocator
+that recomputes every edge and re-rates every flow per pass lives in
+:mod:`repro.runtime.reference`, as the oracle the golden determinism
+tests compare against (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -58,9 +62,9 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 #: implementation's threshold, so the default solver is bit-exact.
 ABS_RATE_EPS = 1e-12
 
-#: Default minimum affected-flow count at which a reallocation pass
-#: switches to the vectorized re-rater.  Below it, plain Python loops
-#: have lower constant factors.
+#: Minimum affected-flow count at which a reallocation pass switches to
+#: the vectorized re-rater.  Below it, plain Python loops have lower
+#: constant factors.  Read at every pass, so tests may override it.
 VECTORIZE_MIN_FLOWS = 24
 
 
@@ -107,6 +111,10 @@ class Flow:
         return self.last_update + self.remaining / self.rate
 
 
+def _flow_id(flow: Flow) -> int:
+    return flow.flow_id
+
+
 class FlowNetwork:
     """Tracks active flows and allocates contended edge bandwidth.
 
@@ -114,20 +122,11 @@ class FlowNetwork:
         edge_capacity: raw capacity (bytes/us) per contention edge.
         gamma: Equation 1 contention penalty coefficient.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`.
-        incremental: use the dirty-edge incremental solver (default).
-            ``False`` selects the brute-force reference allocator, which
-            produces identical rates at ``O(edges + flows)`` per pass.
         rate_rel_epsilon: optional *relative* rate-change threshold below
             which a re-rated flow keeps its previous rate.  The default
             ``0.0`` keeps only the absolute :data:`ABS_RATE_EPS` floor
             and is bit-exact; a non-zero value trades exactness for
             fewer completion-event reposts on large fabrics.
-        vectorize: allow the numpy re-rating path (used only when numpy
-            is importable and the solver is incremental).  The scalar
-            loop remains the reference; both produce bit-identical
-            rates, so a pass may pick either freely.
-        vectorize_min_flows: affected-flow count at which a pass engages
-            the vectorized re-rater (:data:`VECTORIZE_MIN_FLOWS`).
     """
 
     def __init__(
@@ -135,10 +134,7 @@ class FlowNetwork:
         edge_capacity: Dict[str, float],
         gamma: float = 0.03,
         metrics=None,
-        incremental: bool = True,
         rate_rel_epsilon: float = 0.0,
-        vectorize: bool = True,
-        vectorize_min_flows: int = VECTORIZE_MIN_FLOWS,
     ) -> None:
         if gamma < 0:
             raise ValueError(f"gamma must be non-negative, got {gamma}")
@@ -157,35 +153,10 @@ class FlowNetwork:
         # edge's membership or derating factor changes.
         self._share: Dict[str, float] = {}
         self._next_id = 0
-        self._incremental = incremental
         self._rate_rel_epsilon = rate_rel_epsilon
-        self._vectorize = bool(vectorize and _np is not None and incremental)
-        self._vectorize_min_flows = max(0, vectorize_min_flows)
-        if self._vectorize:
-            # Dense edge ids (insertion order of the capacity map, which
-            # is deterministic) and per-flow cached edge-index arrays:
-            # the CSR-style incidence the vectorized re-rater gathers.
-            self._edge_ids = {e: i for i, e in enumerate(self._capacity)}
-            self._flow_edge_idx: Dict[int, "_np.ndarray"] = {}
-            # Persistent numpy mirrors, so a vectorized pass is pure C
-            # gathers with no per-pass Python marshalling:
-            # * `_share_arr[edge_id]` mirrors every `_share` dict write
-            #   (an occupied edge always has a fresh entry by the time a
-            #   re-rate runs — membership changes dirty the edge);
-            # * `_cap_arr[slot]` / `_rate_arr[slot]` mirror each live
-            #   flow's cap and rate, slot-indexed with free-list reuse.
-            self._flow_slot: Dict[int, int] = {}
-            self._free_slots: List[int] = []
-            self._nslots = 0
-            self._share_arr = _np.zeros(len(self._capacity))
-            self._cap_arr = _np.zeros(256)
-            self._rate_arr = _np.zeros(256)
-            # Admission fast path state: per-edge member *slot* lists
-            # (kept in sync with `_edge_flows`), a slot -> Flow table,
-            # and a scratch vector for the combined-minimum scatter.
-            self._edge_slots: Dict[str, List[int]] = {}
-            self._slot_flow: List[Flow] = []
-            self._scratch = _np.zeros(256)
+        # Whether the numpy mirrors of `_build_mirrors` exist; they are
+        # built by the first pass that reaches VECTORIZE_MIN_FLOWS.
+        self._mirrored = False
         # Fault-injection capacity scaling; empty when no faults are armed,
         # so the healthy-fabric math is untouched.
         self._factor: Dict[str, float] = {}
@@ -203,10 +174,6 @@ class FlowNetwork:
     @property
     def gamma(self) -> float:
         return self._gamma
-
-    @property
-    def incremental(self) -> bool:
-        return self._incremental
 
     def active_count(self) -> int:
         return len(self._flows)
@@ -256,15 +223,36 @@ class FlowNetwork:
         nbytes: float,
         cap: float,
         now: float,
-        ordered: bool = True,
     ) -> Tuple[Flow, List[Flow]]:
         """Admit a flow; returns it plus every flow whose rate changed.
 
-        ``ordered=False`` skips the deterministic flow-id sort of the
-        changed list — for callers that do not consume the list's order
-        (the simulator's earliest-wins event discipline never reposts on
-        an admission, since peer rates only ever drop).
+        The changed list is sorted by flow id, so callers that post
+        events from it post them in a deterministic order.
         """
+        flow = self._add_flow(edges, nbytes, cap, now)
+        return flow, self._reallocate(flow.edges, now)
+
+    def admit_flow(
+        self,
+        edges: Tuple[str, ...],
+        nbytes: float,
+        cap: float,
+        now: float,
+    ) -> Flow:
+        """Admit a flow without reporting its peers' rate changes.
+
+        For the simulator's earliest-wins event discipline, which never
+        reposts a peer on an admission: adding demand only ever lowers
+        peer rates.  That lets the pass take the decrease-only re-rate
+        of :meth:`_rerate_admission` and skip sorting the changed list.
+        """
+        flow = self._add_flow(edges, nbytes, cap, now)
+        self._rerate_admission(flow, now)
+        return flow
+
+    def _add_flow(
+        self, edges: Tuple[str, ...], nbytes: float, cap: float, now: float
+    ) -> Flow:
         for edge in edges:
             if edge not in self._capacity:
                 raise KeyError(f"unknown contention edge {edge!r}")
@@ -279,36 +267,8 @@ class FlowNetwork:
         self._flows[flow.flow_id] = flow
         for edge in flow.edges:
             self._edge_flows.setdefault(edge, {})[flow.flow_id] = None
-        if self._vectorize:
-            ids = self._edge_ids
-            self._flow_edge_idx[flow.flow_id] = _np.fromiter(
-                (ids[e] for e in flow.edges),
-                dtype=_np.intp,
-                count=len(flow.edges),
-            )
-            free = self._free_slots
-            if free:
-                slot = free.pop()
-                self._slot_flow[slot] = flow
-            else:
-                slot = self._nslots
-                self._nslots = slot + 1
-                if slot >= self._cap_arr.shape[0]:
-                    grow = _np.zeros(self._cap_arr.shape[0])
-                    self._cap_arr = _np.concatenate([self._cap_arr, grow])
-                    self._rate_arr = _np.concatenate([self._rate_arr, grow])
-                    self._scratch = _np.concatenate([self._scratch, grow])
-                self._slot_flow.append(flow)
-            self._flow_slot[flow.flow_id] = slot
-            self._cap_arr[slot] = flow.cap
-            self._rate_arr[slot] = 0.0
-            edge_slots = self._edge_slots
-            for edge in flow.edges:
-                lst = edge_slots.get(edge)
-                if lst is None:
-                    edge_slots[edge] = [slot]
-                else:
-                    lst.append(slot)
+        if self._mirrored:
+            self._mirror_flow(flow)
         self.flows_admitted += 1
         if self._metrics is not None:
             self._metrics.inc("net_flows_admitted_total")
@@ -317,11 +277,7 @@ class FlowNetwork:
                     "net_edge_flow_depth", len(self._edge_flows[edge]),
                     edge=edge,
                 )
-        if not ordered and self._vectorize and self._incremental:
-            changed = self._rerate_admission(flow, now)
-        else:
-            changed = self._reallocate(flow.edges, now, ordered=ordered)
-        return flow, changed
+        return flow
 
     def finish_flow(
         self, flow: Flow, now: float, rerate: bool = True
@@ -338,7 +294,7 @@ class FlowNetwork:
         """
         flow.advance_to(now)
         del self._flows[flow.flow_id]
-        if self._vectorize:
+        if self._mirrored:
             self._flow_edge_idx.pop(flow.flow_id, None)
             slot = self._flow_slot.pop(flow.flow_id, None)
             if slot is not None:
@@ -367,9 +323,9 @@ class FlowNetwork:
 
         Companion to ``finish_flow(..., rerate=False)``: one pass over
         the union of the deferred flows' edges.  The changed list is
-        flow-id sorted (``ordered=True``) because the caller posts
-        completion events from it, and the post sequence must not depend
-        on the solver variant's internal iteration order.
+        flow-id sorted because the caller posts completion events from
+        it, and the post sequence must not depend on the solver's
+        internal iteration order.
         """
         return self._reallocate(edges, now)
 
@@ -400,6 +356,80 @@ class FlowNetwork:
         return census
 
     # ------------------------------------------------------------------
+    # numpy mirrors of the flow table (vectorized re-rating only)
+    # ------------------------------------------------------------------
+
+    def _build_mirrors(self) -> None:
+        """Build the numpy mirrors the vectorized re-rater gathers from.
+
+        * dense edge ids (insertion order of the capacity map, which is
+          deterministic) and a per-flow edge-index array — the CSR-style
+          incidence of the flows;
+        * ``_share_arr[edge_id]`` mirrors every ``_share`` write (an
+          occupied edge always has a fresh entry by the time a re-rate
+          runs — membership changes dirty the edge);
+        * ``_cap_arr[slot]`` / ``_rate_arr[slot]`` mirror each live
+          flow's cap and rate, slot-indexed with free-list reuse;
+        * per-edge member *slot* lists in membership order, a
+          slot -> Flow table, and a scratch vector for the admission
+          pass's combined-minimum scatter.
+
+        Live flows take slots in admission order, so the per-edge slot
+        lists come out in the same order as ``_edge_flows``.
+        """
+        self._mirrored = True
+        self._edge_ids = {e: i for i, e in enumerate(self._capacity)}
+        self._share_arr = _np.zeros(len(self._capacity))
+        for edge, share in self._share.items():
+            self._share_arr[self._edge_ids[edge]] = share
+        size = 256
+        while size < len(self._flows):
+            size *= 2
+        self._cap_arr = _np.zeros(size)
+        self._rate_arr = _np.zeros(size)
+        self._scratch = _np.zeros(size)
+        self._flow_edge_idx: Dict[int, "_np.ndarray"] = {}
+        self._flow_slot: Dict[int, int] = {}
+        self._free_slots: List[int] = []
+        self._slot_flow: List[Flow] = []
+        self._nslots = 0
+        self._edge_slots: Dict[str, List[int]] = {}
+        for flow in self._flows.values():
+            self._mirror_flow(flow)
+
+    def _mirror_flow(self, flow: Flow) -> None:
+        """Give a live flow a slot in the numpy mirrors."""
+        ids = self._edge_ids
+        self._flow_edge_idx[flow.flow_id] = _np.fromiter(
+            (ids[e] for e in flow.edges),
+            dtype=_np.intp,
+            count=len(flow.edges),
+        )
+        free = self._free_slots
+        if free:
+            slot = free.pop()
+            self._slot_flow[slot] = flow
+        else:
+            slot = self._nslots
+            self._nslots = slot + 1
+            if slot >= self._cap_arr.shape[0]:
+                grow = _np.zeros(self._cap_arr.shape[0])
+                self._cap_arr = _np.concatenate([self._cap_arr, grow])
+                self._rate_arr = _np.concatenate([self._rate_arr, grow])
+                self._scratch = _np.concatenate([self._scratch, grow])
+            self._slot_flow.append(flow)
+        self._flow_slot[flow.flow_id] = slot
+        self._cap_arr[slot] = flow.cap
+        self._rate_arr[slot] = flow.rate
+        edge_slots = self._edge_slots
+        for edge in flow.edges:
+            lst = edge_slots.get(edge)
+            if lst is None:
+                edge_slots[edge] = [slot]
+            else:
+                lst.append(slot)
+
+    # ------------------------------------------------------------------
 
     def _edge_share(self, edge: str) -> float:
         """Per-flow share on one edge after one water-filling round.
@@ -407,7 +437,7 @@ class FlowNetwork:
         Flows capped below the equal share donate their spare capacity to
         the remaining flows of the edge.
         """
-        if self._vectorize:
+        if self._mirrored:
             lst = self._edge_slots.get(edge)
             if lst is None:
                 self.shares_computed += 1
@@ -462,7 +492,7 @@ class FlowNetwork:
         share = self._share.get(edge)
         if share is None:
             share = self._share[edge] = self._edge_share(edge)
-            if self._vectorize:
+            if self._mirrored:
                 self._share_arr[self._edge_ids[edge]] = share
         return share
 
@@ -471,49 +501,42 @@ class FlowNetwork:
     ) -> List[Flow]:
         """Recompute rates after ``dirty_edges`` changed; returns changes.
 
-        Incremental mode recomputes the share of each dirty edge and
-        re-rates only the flows crossing one; clean edges are served from
-        the share cache.  Reference mode recomputes every occupied edge
-        and re-rates every live flow — same rates, no cache.  The changed
-        list is sorted by flow id (unless the caller opts out with
-        ``ordered=False``) so both modes hand the simulator the exact
-        same event-post sequence.
+        Recomputes the share of each dirty edge and re-rates only the
+        flows crossing one; clean edges are served from the share cache.
+        The changed list is sorted by flow id unless the caller opts out
+        with ``ordered=False``.
         """
         self.reallocations += 1
-        vectorize = self._vectorize
-        if self._incremental:
-            # Union of the dirty edges' member sets, in first-seen order.
-            # ``dict.update`` merges the per-edge id dicts at C speed —
-            # the same order a Python seen-set loop would produce.
-            affected_ids: Dict[int, None] = {}
-            for edge in dirty_edges:
-                members = self._edge_flows.get(edge)
-                if members is None:
-                    self._share.pop(edge, None)
-                    continue
-                fresh = self._share[edge] = self._edge_share(edge)
-                if vectorize:
-                    self._share_arr[self._edge_ids[edge]] = fresh
-                affected_ids.update(members)
-            if vectorize and len(affected_ids) >= self._vectorize_min_flows:
-                self.vectorized_passes += 1
-                changed = self._rerate_vectorized(list(affected_ids), now)
-            else:
-                self.scalar_passes += 1
-                flows = self._flows
-                changed = self._rerate_scalar(
-                    [flows[fid] for fid in affected_ids],
-                    self._share_of,
-                    now,
-                )
+        # Union of the dirty edges' member sets, in first-seen order.
+        # ``dict.update`` merges the per-edge id dicts at C speed — the
+        # same order a Python seen-set loop would produce.
+        affected_ids: Dict[int, None] = {}
+        for edge in dirty_edges:
+            members = self._edge_flows.get(edge)
+            if members is None:
+                self._share.pop(edge, None)
+                continue
+            fresh = self._share[edge] = self._edge_share(edge)
+            if self._mirrored:
+                self._share_arr[self._edge_ids[edge]] = fresh
+            affected_ids.update(members)
+        if _np is not None and len(affected_ids) >= VECTORIZE_MIN_FLOWS:
+            if not self._mirrored:
+                self._build_mirrors()
+            self.vectorized_passes += 1
+            changed = self._rerate_vectorized(list(affected_ids), now)
         else:
-            shares = {e: self._edge_share(e) for e in self._edge_flows}
             self.scalar_passes += 1
+            flows = self._flows
             changed = self._rerate_scalar(
-                list(self._flows.values()), shares.__getitem__, now
+                [flows[fid] for fid in affected_ids], self._share_of, now
             )
+        return self._account(changed, ordered)
+
+    def _account(self, changed: List[Flow], ordered: bool) -> List[Flow]:
+        """Count (and optionally flow-id sort) one pass's changed flows."""
         if ordered:
-            changed.sort(key=lambda f: f.flow_id)
+            changed.sort(key=_flow_id)
         self.rate_updates += len(changed)
         if self._metrics is not None:
             self._metrics.inc("net_reallocations_total")
@@ -543,17 +566,22 @@ class FlowNetwork:
         generic recompute's (see the golden determinism suite).
 
         The just-admitted flow itself (rate 0 → first allocation) takes
-        the scalar expression over its own fresh shares.
+        the scalar expression over its own fresh shares.  Admissions
+        touching fewer than :data:`VECTORIZE_MIN_FLOWS` memberships take
+        the generic pass.
         """
         edges = flow.edges
-        edge_slots = self._edge_slots
+        edge_flows = self._edge_flows
         total = 0
         for edge in edges:
-            total += len(edge_slots[edge])
-        if total < self._vectorize_min_flows:
+            total += len(edge_flows[edge])
+        if _np is None or total < VECTORIZE_MIN_FLOWS:
             return self._reallocate(edges, now, ordered=False)
+        if not self._mirrored:
+            self._build_mirrors()
         self.reallocations += 1
         self.vectorized_passes += 1
+        edge_slots = self._edge_slots
         share_arr = self._share_arr
         edge_ids = self._edge_ids
         share_map = self._share
@@ -610,16 +638,11 @@ class FlowNetwork:
             flow.rate = new_rate  # last_update == now: just admitted
             rate_arr[self._flow_slot[flow.flow_id]] = new_rate
             changed.append(flow)
-        self.rate_updates += len(changed)
-        if self._metrics is not None:
-            self._metrics.inc("net_reallocations_total")
-            if changed:
-                self._metrics.inc("net_rate_changes_total", len(changed))
-        return changed
+        return self._account(changed, ordered=False)
 
     def _rerate_scalar(self, affected, share, now: float) -> List[Flow]:
-        """Reference per-flow re-rate loop (`share` maps edge -> share)."""
-        vectorize = self._vectorize
+        """Per-flow re-rate loop (`share` maps edge -> share)."""
+        mirrored = self._mirrored
         rel = self._rate_rel_epsilon
         changed: List[Flow] = []
         for flow in affected:
@@ -630,7 +653,7 @@ class FlowNetwork:
             if abs(new_rate - flow.rate) > threshold:
                 flow.advance_to(now)
                 flow.rate = new_rate
-                if vectorize:
+                if mirrored:
                     self._rate_arr[self._flow_slot[flow.flow_id]] = new_rate
                 changed.append(flow)
         return changed

@@ -153,14 +153,14 @@ class SimCounters:
     metric series, and asserted on by ``benchmarks/test_perf_scaling.py``
     to keep the incremental solver's work bounded.
 
-    Physical report fields must be bit-identical across every exact
-    solver/queue/aggregation configuration; a few *work counters* are
-    allowed to differ because they describe how the answer was computed,
-    not the answer: ``shares_computed`` (incremental vs reference
-    allocator), ``vectorized_passes``/``scalar_passes`` (which re-rater
-    ran), ``bucket_occupancy_max``/``queue_refills`` (queue backend),
-    and the ``agg_*`` family (aggregation on/off).  The golden
-    determinism suite masks exactly that set and pins everything else.
+    Physical report fields must be bit-identical between the production
+    solver and the reference oracle (:mod:`repro.runtime.reference`);
+    a few *work counters* are allowed to differ because they describe
+    how the answer was computed, not the answer: ``shares_computed``
+    (incremental vs reference allocator), ``vectorized_passes``/
+    ``scalar_passes`` (which re-rater ran), and the ``agg_*`` family
+    (fast-fidelity collapse).  The golden determinism suite masks
+    exactly that set and pins everything else.
     """
 
     events_posted: int = 0
@@ -175,13 +175,6 @@ class SimCounters:
     scalar_passes: int = 0
     #: Event-queue occupancy high-water mark (cancelled entries included).
     queue_depth_max: int = 0
-    #: Largest calendar bucket activated (0 under the heap backend).
-    bucket_occupancy_max: int = 0
-    #: Calendar bucket activations (0 under the heap backend).
-    queue_refills: int = 0
-    #: Tasks whose schedule metadata one representative instance computed
-    #: for all its micro-batch siblings (exact aggregation).
-    agg_tasks_cached: int = 0
     #: Micro-batch runs temporally collapsed (fast fidelity only).
     agg_runs_collapsed: int = 0
     #: Sibling instances reconstructed by report fan-out after collapse.
@@ -202,9 +195,6 @@ class SimCounters:
         "shares_computed",
         "vectorized_passes",
         "scalar_passes",
-        "bucket_occupancy_max",
-        "queue_refills",
-        "agg_tasks_cached",
         "agg_runs_collapsed",
         "agg_instances_expanded",
         "agg_collapse_disabled",
@@ -217,23 +207,14 @@ class SimCounters:
             f"events: {self.events_posted} posted / "
             f"{self.events_popped} popped "
             f"({self.stale_events_skipped} stale skipped, "
-            f"queue depth <= {self.queue_depth_max}"
-        )
-        if self.queue_refills:
-            text += (
-                f", {self.queue_refills} bucket refill(s), "
-                f"occupancy <= {self.bucket_occupancy_max}"
-            )
-        text += (
-            f"); rates: {self.reallocations} reallocation passes "
+            f"queue depth <= {self.queue_depth_max}); "
+            f"rates: {self.reallocations} reallocation passes "
             f"({self.vectorized_passes} vectorized / "
             f"{self.scalar_passes} scalar), "
             f"{self.shares_computed} edge shares computed, "
             f"{self.rate_updates} rate updates; "
             f"{self.flows_admitted} flow(s) admitted"
         )
-        if self.agg_tasks_cached:
-            text += f"; aggregation: {self.agg_tasks_cached} task(s) cached"
         if self.agg_runs_collapsed:
             text += (
                 f"; collapse: {self.agg_runs_collapsed} run(s) -> "

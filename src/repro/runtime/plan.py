@@ -21,7 +21,6 @@ from typing import Dict, List, Tuple
 from ..ir.dag import DependencyDAG
 from ..lang.builder import AlgoProgram
 from ..topology import Cluster
-from .flows import VECTORIZE_MIN_FLOWS
 
 MB = float(1 << 20)
 
@@ -122,41 +121,12 @@ class SimConfig:
             recorded fault/detection/recovery trace events.  Long chaos
             runs evict oldest-first past the cap (surfaced as
             ``SimReport.trace_dropped``); 0 means unbounded.
-        incremental_rates: use the incremental dirty-edge rate solver
-            (default).  ``False`` selects the brute-force reference
-            allocator, which recomputes every occupied edge and re-rates
-            every live flow per pass; both modes produce bit-identical
-            reports (see ``docs/performance.md``).
         rate_rel_epsilon: relative rate-change threshold below which a
             re-rated flow keeps its old rate (suppressing the completion
             event repost).  The default 0.0 keeps only the absolute
             1e-12 floor and is bit-exact; non-zero values are an opt-in
             approximation for very large fabrics (the ``fast`` fidelity
             preset sets 1e-3).
-        vectorized_rates: allow the numpy vectorized re-rating path in
-            the flow network.  Engaged per reallocation pass when the
-            affected-flow count reaches ``vectorize_min_flows``; always
-            bit-identical to the scalar path, which remains the
-            small-N and reference mode.
-        vectorize_min_flows: affected-flow threshold for the vectorized
-            re-rater.
-        event_queue: event-queue backend — ``auto`` (bucket calendar
-            queue for large plans, binary heap for small ones),
-            ``heap``, or ``bucket``.  Backends pop in the identical
-            total order, so the choice only affects wall time.
-        event_bucket_width_us: time width of one calendar-queue bucket.
-        lazy_invalidation: cancel a superseded flow-completion event in
-            place in the queue (the default), so it is skipped without a
-            dispatch.  ``False`` restores the pre-bucket discipline —
-            stale events are dispatched and recognised by a version
-            check — which the scale benchmark uses as its baseline.
-            Both disciplines are bit-identical.
-        aggregate_microbatches: share one representative instance's
-            validation and schedule metadata (route, send cap, receive
-            copy duration) across its micro-batch siblings instead of
-            recomputing per instance.  Bit-identical by construction;
-            ``False`` selects the fully expanded per-instance
-            bookkeeping the golden suite compares against.
         collapse_microbatches: *fast-fidelity* temporal aggregation —
             collapse each task's micro-batch run into one representative
             instance carrying the whole payload, then fan the report
@@ -172,14 +142,7 @@ class SimConfig:
     protocol: Protocol = Protocol.SIMPLE
     watchdog_window_us: float = 2000.0
     fault_trace_cap: int = 4096
-    incremental_rates: bool = True
     rate_rel_epsilon: float = 0.0
-    vectorized_rates: bool = True
-    vectorize_min_flows: int = VECTORIZE_MIN_FLOWS
-    event_queue: str = "auto"
-    event_bucket_width_us: float = 64.0
-    lazy_invalidation: bool = True
-    aggregate_microbatches: bool = True
     collapse_microbatches: bool = False
 
     def __post_init__(self) -> None:
@@ -197,21 +160,6 @@ class SimConfig:
         if self.fault_trace_cap < 0:
             raise ValueError(
                 f"fault_trace_cap must be non-negative, got {self.fault_trace_cap}"
-            )
-        if self.vectorize_min_flows < 0:
-            raise ValueError(
-                "vectorize_min_flows must be non-negative, "
-                f"got {self.vectorize_min_flows}"
-            )
-        if self.event_queue not in ("auto", "heap", "bucket"):
-            raise ValueError(
-                f"event_queue must be 'auto', 'heap', or 'bucket', "
-                f"got {self.event_queue!r}"
-            )
-        if self.event_bucket_width_us <= 0:
-            raise ValueError(
-                "event_bucket_width_us must be positive, "
-                f"got {self.event_bucket_width_us}"
             )
 
     def with_fidelity(self, preset: str) -> "SimConfig":
@@ -296,7 +244,7 @@ class ExecutionPlan:
         to the exhaustive per-instance scan below, so the accepted set
         and the raised diagnostics are unchanged.
         """
-        if self.config.aggregate_microbatches and self._validate_microbatch_runs():
+        if self._validate_microbatch_runs():
             return
         expected = len(self.dag) * self.n_microbatches
         seen: Dict[Tuple[int, int, Side], int] = {}

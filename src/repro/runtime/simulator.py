@@ -33,7 +33,7 @@ from ..ir.task import CommType
 from ..obs.metrics import current_registry
 from ..obs.spans import span as obs_span
 from .aggregate import collapse_microbatch_runs, expand_report
-from .events import make_event_queue
+from .events import EventQueue
 from .flows import Flow, FlowNetwork
 from .metrics import (
     FaultStats,
@@ -148,31 +148,20 @@ class Simulator:
             {e: self.cluster.edge_capacity(e) for e in self.cluster.edges},
             gamma=self.config.gamma,
             metrics=self._metrics,
-            incremental=self.config.incremental_rates,
             rate_rel_epsilon=self.config.rate_rel_epsilon,
-            vectorize=self.config.vectorized_rates,
-            vectorize_min_flows=self.config.vectorize_min_flows,
         )
         self.start_at_us = start_at_us
         self.now = start_at_us
         self.counters = SimCounters()
-        self._queue = make_event_queue(
-            self.config.event_queue,
-            plan.total_invocations,
-            self.config.event_bucket_width_us,
-        )
+        self._queue = EventQueue()
         self._seq = itertools.count()
-        # Lazy invalidation (default): the live completion-event entry of
-        # each flow is tracked in `_flow_cell` and cancelled in place
-        # when a re-rate supersedes it, so stale events are skipped
-        # inside the queue without a dispatch.  With
-        # ``lazy_invalidation=False`` (the pre-bucket discipline, kept as
-        # the benchmark baseline) stale events are dispatched and
-        # recognised by a per-flow version check instead.
-        self._lazy_inval = self.config.lazy_invalidation
+        # Lazy invalidation: the live completion-event entry of each
+        # flow is tracked in `_flow_cell` and cancelled in place when a
+        # re-rate supersedes it, so stale events are skipped inside the
+        # queue without a dispatch.
         self._flow_cell: Dict[int, list] = {}
-        # Batched finish re-rates (lazy mode): edges whose membership
-        # changed at `self.now` but whose reallocation is still pending.
+        # Batched finish re-rates: edges whose membership changed at
+        # `self.now` but whose reallocation is still pending.
         # Simultaneous completions — pervasive in symmetric collectives —
         # then share one re-rate pass and one repost wave.  The batch is
         # flushed before the clock advances, before any non-flow event,
@@ -182,14 +171,6 @@ class Simulator:
         self._dirty_edges: Dict[str, None] = {}
         # Per-task protocol-adjusted route latency (hot on flow finish).
         self._task_latency: Dict[int, float] = {}
-        # Exact micro-batch aggregation: one representative instance's
-        # schedule metadata (route + send cap, recv copy duration) is
-        # computed once per task and shared by its siblings.  Disabled
-        # (recomputed per instance) when ``aggregate_microbatches`` is
-        # off; both modes are bit-identical.
-        self._agg_meta = self.config.aggregate_microbatches
-        self._task_send_meta: Dict[int, Tuple[Tuple[str, ...], float]] = {}
-        self._task_recv_duration: Dict[int, float] = {}
         for edges, cap in background_traffic or ():
             # Effectively-infinite payload: the congestor never drains.
             self.network.start_flow(
@@ -236,7 +217,6 @@ class Simulator:
 
         # Active flows: flow_id -> (flow, task_id, mb, sender tb index).
         self._flows: Dict[int, Tuple[Flow, int, int, int]] = {}
-        self._flow_version: Dict[int, int] = {}
 
         # Completed (task, mb) invocations in completion order — lets
         # callers replay the dynamic schedule through the symbolic
@@ -500,53 +480,27 @@ class Simulator:
         self._start_flow(tb, inv, task)
         return True
 
-    def _send_meta(self, tb: _TB, task_id: int, task) -> Tuple[Tuple[str, ...], float]:
-        """Route edges and TB send cap for one task's transfer.
-
-        With exact micro-batch aggregation on, the representative
-        instance's values are shared by every sibling; otherwise they
-        are recomputed per instance (identical results either way).
-        """
-        if self._agg_meta:
-            meta = self._task_send_meta.get(task_id)
-            if meta is not None:
-                return meta
-        edges = self.cluster.path(task.src, task.dst).edges
-        cap = (
-            self.cluster.profile.tb_copy_bandwidth(tb.program.nwarps)
-            * self.config.protocol.bandwidth_efficiency
-        )
-        if self._agg_meta:
-            self._task_send_meta[task_id] = (edges, cap)
-        return edges, cap
-
     def _start_flow(self, tb: _TB, inv: Invocation, task) -> None:
         if self._dirty_edges:
             # A same-instant completion's re-rate is still deferred; the
             # admission below must see reconciled memberships and rates.
             self._flush_rerate()
-        edges, cap = self._send_meta(tb, inv.task_id, task)
-        flow, changed = self.network.start_flow(
-            edges=edges,
+        flow = self.network.admit_flow(
+            edges=self.cluster.path(task.src, task.dst).edges,
             nbytes=self.plan.chunk_bytes,
-            cap=cap,
+            cap=(
+                self.cluster.profile.tb_copy_bandwidth(tb.program.nwarps)
+                * self.config.protocol.bandwidth_efficiency
+            ),
             now=self.now + self._route_latency(inv.task_id, task),
-            ordered=not self._lazy_inval,
         )
         self._flows[flow.flow_id] = (flow, inv.task_id, inv.mb, tb.index)
-        if not self._lazy_inval:
-            self._flow_version[flow.flow_id] = 0
         tb.phase = _INFLIGHT
         self._progress()
         if self._metrics is not None:
             self._metrics.inc("sim_flows_started_total")
         self._link_enter(task.link)
         self._post_flow_eta(flow)
-        if not self._lazy_inval:
-            # Pre-bucket discipline: every peer rate change reposts.
-            for other in changed:
-                if other.flow_id != flow.flow_id:
-                    self._post_flow_eta(other)
         # Earliest-wins discipline: an admission can only *lower* its
         # peers' rates — adding demand never raises a water-filled edge
         # share (the released-cap gain is bounded by the old equal share,
@@ -574,115 +528,74 @@ class Simulator:
             self._post_flow_eta(other)
 
     def _post_flow_eta(self, flow: Flow) -> None:
-        flow_id = flow.flow_id
-        if self._lazy_inval:
-            # Earliest-wins discipline: a completion event is (re)posted
-            # only when the flow's ETA moved *earlier* than the pending
-            # event (or none is pending).  When a rate drop moves the ETA
-            # later, the pending event is kept — it wakes early, finds
-            # the flow unfinished, and reposts itself at the then-current
-            # ETA (see :meth:`_maybe_finish_flow`).  Admission waves,
-            # which only ever slow their peers down, therefore post
-            # nothing at all.  A superseded (later-firing) event is
-            # cancelled in place (``cell[4] = False`` inlines
-            # ``EventQueue.cancel`` — this is the hottest call site in
-            # the simulator) and skipped inside the queue.
-            eta = flow.eta()
-            cell = self._flow_cell.get(flow_id)
-            if cell is not None:
-                if cell[0] <= eta:
-                    return
-                cell[4] = False
-            if eta != _INF:
-                if eta < self.now:
-                    eta = self.now
-                self.counters.events_posted += 1
-                self._flow_cell[flow_id] = self._queue.post(
-                    eta, next(self._seq), "flow", flow_id
-                )
-            elif cell is not None:
-                del self._flow_cell[flow_id]
-        else:
-            # Pre-bucket discipline (the scale benchmark's baseline):
-            # every rate change bumps the flow's version and posts a
-            # fresh event at the new ETA; superseded events stay live in
-            # the queue and are recognised at dispatch by their stale
-            # version.  Physical completion times match the earliest-wins
-            # discipline exactly, but the completion *tie-break order*
-            # of simultaneous completions may differ, so this mode is a
-            # wall-time baseline, not a golden-fingerprint variant.
-            version = self._flow_version.get(flow_id, 0) + 1
-            self._flow_version[flow_id] = version
-            eta = flow.eta()
-            if eta != _INF:
-                if eta < self.now:
-                    eta = self.now
-                self.counters.events_posted += 1
-                self._queue.post(
-                    eta, next(self._seq), "flow", (flow_id, version)
-                )
+        """(Re)post a flow's completion event — earliest wins.
 
-    def _maybe_finish_flow(self, payload) -> None:
-        if type(payload) is tuple:
-            # Eager (versioned) discipline: payload carries the version
-            # current when the event was posted.
-            flow_id, version = payload
-            if self._flow_version.get(flow_id) != version:
-                # A superseded (version-bumped) flow event: skip without
-                # touching any state.
-                self.counters.stale_events_skipped += 1
+        A completion event is posted only when the flow's ETA moved
+        *earlier* than the pending event (or none is pending).  When a
+        rate drop moves the ETA later, the pending event is kept — it
+        wakes early, finds the flow unfinished, and reposts itself at the
+        then-current ETA (see :meth:`_maybe_finish_flow`).  Admission
+        waves, which only ever slow their peers down, therefore post
+        nothing at all.  A superseded (later-firing) event is cancelled
+        in place (``cell[4] = False`` inlines ``EventQueue.cancel`` —
+        this is the hottest call site in the simulator) and skipped
+        inside the queue.
+        """
+        flow_id = flow.flow_id
+        eta = flow.eta()
+        cell = self._flow_cell.get(flow_id)
+        if cell is not None:
+            if cell[0] <= eta:
                 return
-        else:
-            flow_id = payload
+            cell[4] = False
+        if eta != _INF:
+            if eta < self.now:
+                eta = self.now
+            self.counters.events_posted += 1
+            self._flow_cell[flow_id] = self._queue.post(
+                eta, next(self._seq), "flow", flow_id
+            )
+        elif cell is not None:
+            del self._flow_cell[flow_id]
+
+    def _maybe_finish_flow(self, flow_id: int) -> None:
         entry = self._flows.get(flow_id)
         if entry is None:
-            # An already-torn-down flow (with lazy invalidation this is
-            # purely defensive — cancelled cells never dispatch).
+            # An already-torn-down flow (purely defensive — cancelled
+            # cells never dispatch).
             self.counters.stale_events_skipped += 1
             return
         flow, task_id, mb, sender_index = entry
-        if self._lazy_inval:
-            # Early-wakeup check WITHOUT reconciling the flow: the
-            # remaining-bytes expression below is the same float
-            # arithmetic ``advance_to`` would apply, so the completion
-            # decision is bit-identical to reconcile-then-test, but a
-            # kept-early event does not perturb the flow's
-            # ``(remaining, last_update)`` reduction sequence.
-            rate = flow.rate
-            remaining = flow.remaining
-            if self.now > flow.last_update and rate > 0.0:
-                remaining = remaining - rate * (self.now - flow.last_update)
-            if remaining > _EPS:
-                # The rate dropped since this event was posted: the flow
-                # is not done.  Consume the cell, reconcile any deferred
-                # same-instant re-rate (it may have raised this flow's
-                # rate), and repost at the current ETA.
-                self._flow_cell.pop(flow_id, None)
-                if self._dirty_edges:
-                    self._flush_rerate()
-                self._post_flow_eta(flow)
-                return
-            flow.advance_to(self.now)
-        else:
-            flow.advance_to(self.now)
-            if flow.remaining > _EPS:
-                self._post_flow_eta(flow)
-                return
+        # Early-wakeup check WITHOUT reconciling the flow: the
+        # remaining-bytes expression below is the same float arithmetic
+        # ``advance_to`` would apply, so the completion decision is
+        # bit-identical to reconcile-then-test, but a kept-early event
+        # does not perturb the flow's ``(remaining, last_update)``
+        # reduction sequence.
+        rate = flow.rate
+        remaining = flow.remaining
+        if self.now > flow.last_update and rate > 0.0:
+            remaining = remaining - rate * (self.now - flow.last_update)
+        if remaining > _EPS:
+            # The rate dropped since this event was posted: the flow is
+            # not done.  Consume the cell, reconcile any deferred
+            # same-instant re-rate (it may have raised this flow's
+            # rate), and repost at the current ETA.
+            self._flow_cell.pop(flow_id, None)
+            if self._dirty_edges:
+                self._flush_rerate()
+            self._post_flow_eta(flow)
+            return
+        flow.advance_to(self.now)
         del self._flows[flow_id]
-        self._flow_version.pop(flow_id, None)
         self._flow_cell.pop(flow_id, None)
-        if self._lazy_inval:
-            # Defer the reallocation: simultaneous completions (the
-            # common case in symmetric collectives) share one re-rate
-            # pass and one repost wave, flushed before any rate is read.
-            self.network.finish_flow(flow, self.now, rerate=False)
-            dirty = self._dirty_edges
-            for edge in flow.edges:
-                dirty[edge] = None
-        else:
-            changed = self.network.finish_flow(flow, self.now)
-            for other in changed:
-                self._post_flow_eta(other)
+        # Defer the reallocation: simultaneous completions (the common
+        # case in symmetric collectives) share one re-rate pass and one
+        # repost wave, flushed before any rate is read.
+        self.network.finish_flow(flow, self.now, rerate=False)
+        dirty = self._dirty_edges
+        for edge in flow.edges:
+            dirty[edge] = None
 
         task = self.dag.task(task_id)
         self._link_exit(task.link, flow.nbytes)
@@ -737,20 +650,13 @@ class Simulator:
                 self._dep_waiters[key].append(tb.index)
             return False
         self._unblock(tb)
-        duration = (
-            self._task_recv_duration.get(inv.task_id) if self._agg_meta else None
-        )
-        if duration is None:
-            task = self.dag.task(inv.task_id)
-            copy_bw = self.cluster.profile.tb_copy_bandwidth(tb.program.nwarps)
-            duration = self.plan.chunk_bytes / copy_bw
-            if task.op is CommType.RRC:
-                duration += (
-                    self.plan.chunk_bytes
-                    * self.cluster.profile.reduce_cost_per_byte_us
-                )
-            if self._agg_meta:
-                self._task_recv_duration[inv.task_id] = duration
+        copy_bw = self.cluster.profile.tb_copy_bandwidth(tb.program.nwarps)
+        duration = self.plan.chunk_bytes / copy_bw
+        if self.dag.task(inv.task_id).op is CommType.RRC:
+            duration += (
+                self.plan.chunk_bytes
+                * self.cluster.profile.reduce_cost_per_byte_us
+            )
         tb.phase = _INFLIGHT
         self._progress()
         self._recv_state[key] = [tb.index, self.now, False]
@@ -964,7 +870,6 @@ class Simulator:
         :meth:`register_flow`.
         """
         flow, task_id, mb, sender_index = self._flows.pop(flow_id)
-        self._flow_version.pop(flow_id, None)
         cell = self._flow_cell.pop(flow_id, None)
         if cell is not None:
             self._queue.cancel(cell)
@@ -980,8 +885,6 @@ class Simulator:
     ) -> None:
         """Adopt a re-admitted flow started directly on the network."""
         self._flows[flow.flow_id] = (flow, task_id, mb, sender_index)
-        if not self._lazy_inval:
-            self._flow_version[flow.flow_id] = 0
         self._link_enter(self.dag.task(task_id).link)
         self._progress()
         self._post_flow_eta(flow)
@@ -1030,8 +933,8 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _report(self) -> SimReport:
-        # Completion is when the last TB retires; stale (version-
-        # invalidated) flow events may leave self.now slightly past that.
+        # Completion is when the last TB retires; a trailing watchdog or
+        # credit event may leave self.now past that.
         completion = max(
             (tb.stats.release_time for tb in self.tbs), default=self.now
         )
@@ -1051,16 +954,11 @@ class Simulator:
         counters.scalar_passes = self.network.scalar_passes
         queue = self._queue
         # Cancelled (superseded) entries never dispatched; fold them into
-        # the pop/stale totals so the counters keep the pre-bucket
-        # semantics: every posted event is either dispatched or skipped.
+        # the pop/stale totals so every posted event counts as either
+        # dispatched or skipped.
         counters.events_popped += queue.cancelled_skipped
         counters.stale_events_skipped += queue.cancelled_skipped
         counters.queue_depth_max = queue.depth_max
-        counters.bucket_occupancy_max = queue.bucket_occupancy_max
-        counters.queue_refills = queue.refills
-        counters.agg_tasks_cached = len(self._task_send_meta) + len(
-            self._task_recv_duration
-        )
         if self._metrics is not None:
             self._metrics.set("sim_completion_time_us", completion)
             self._metrics.inc("sim_events_posted_total", counters.events_posted)
@@ -1076,16 +974,9 @@ class Simulator:
                 "sim_edge_shares_computed_total", counters.shares_computed
             )
             self._metrics.set("sim_queue_depth_max", counters.queue_depth_max)
-            self._metrics.set(
-                "sim_bucket_occupancy_max", counters.bucket_occupancy_max
-            )
             if counters.vectorized_passes:
                 self._metrics.inc(
                     "sim_vectorized_passes_total", counters.vectorized_passes
-                )
-            if counters.agg_tasks_cached:
-                self._metrics.set(
-                    "sim_agg_tasks_cached", counters.agg_tasks_cached
                 )
             for link, stats in self._link_stats.items():
                 self._metrics.set(

@@ -2,10 +2,10 @@
 
 The indexed implementations of dependency analysis (fused
 ``build_dag``), HPDS scheduling, and state-based TB allocation are
-*optimizations*, not approximations: for every input, a compile with
-``indexed_schedule=True`` must produce the exact same global pipeline,
-the exact same TB assignments, and the exact same rendered kernels as
-the reference implementations kept behind ``indexed_schedule=False``.
+*optimizations*, not approximations: for every input, the production
+compile must produce the exact same global pipeline, the exact same TB
+assignments, and the exact same rendered kernels as the literal
+implementations of the test-only oracle :mod:`repro.core.reference`.
 :func:`repro.core.compiler.compile_fingerprint` captures all of that.
 
 Coverage: every built-in algorithm over single- and multi-node
@@ -20,9 +20,8 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms import available_algorithms, build_algorithm
-from repro.core import ResCCLBackend
+from repro.core import ResCCLBackend, reference
 from repro.core.compiler import ResCCLCompiler, compile_fingerprint
-from repro.core.plancache import PlanCache
 from repro.faults import CollectiveCheckpoint, build_resume_plan
 from repro.ir.task import Collective
 from repro.lang import parse_program
@@ -47,12 +46,10 @@ def cluster_for(program):
 def assert_identical_compile(program, cluster, scheduler="hpds"):
     """Compile both ways (no cache) and compare full fingerprints."""
     indexed = ResCCLCompiler(scheduler=scheduler).compile(program, cluster)
-    reference = ResCCLCompiler(
-        scheduler=scheduler, indexed_schedule=False
-    ).compile(program, cluster)
+    literal = reference.compile(program, cluster, scheduler=scheduler)
     ranks = list(range(cluster.world_size))
     assert compile_fingerprint(indexed, kernel_ranks=ranks) == (
-        compile_fingerprint(reference, kernel_ranks=ranks)
+        compile_fingerprint(literal, kernel_ranks=ranks)
     )
     return indexed
 
@@ -104,21 +101,6 @@ class TestSynthesized:
         assert_identical_compile(program, cluster)
 
 
-class TestPlanCacheSharing:
-    def test_modes_share_cache_entries(self):
-        """indexed_schedule is not part of the compile key: a reference
-        compile hits the entry an indexed compile populated."""
-        cluster = Cluster(nodes=2, gpus_per_node=4)
-        program = build_algorithm("ring-allreduce", cluster)
-        cache = PlanCache()
-        first = cache.compile(ResCCLCompiler(), program, cluster)
-        second = cache.compile(
-            ResCCLCompiler(indexed_schedule=False), program, cluster
-        )
-        assert second is first
-        assert cache.stats.hits == 1
-
-
 class TestDegradedReplan:
     def test_resume_plan_identical(self):
         """A degraded-cluster residual compile is bit-identical too.
@@ -152,9 +134,8 @@ class TestDegradedReplan:
         ckpt = CollectiveCheckpoint.capture(request.sim, request.dead_edges)
 
         fast = build_resume_plan(plan, ckpt, request.dead_edges)
-        slow = build_resume_plan(
-            plan, ckpt, request.dead_edges, indexed_schedule=False
-        )
+        with reference.reference_compiler():
+            slow = build_resume_plan(plan, ckpt, request.dead_edges)
         assert [dataclasses.asdict(tb) for tb in fast.plan.tb_programs] == [
             dataclasses.asdict(tb) for tb in slow.plan.tb_programs
         ]

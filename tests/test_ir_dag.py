@@ -161,13 +161,10 @@ class TestFusedEquivalence:
 
     def _edge_log(self, transfers, cluster, fused):
         log = []
-        dag = build_dag(transfers, cluster, fused=fused)
+        dag = build_dag(transfers, cluster)
         # Reconstruct the DAG with a recording add_edge to capture order.
-        from repro.ir.dag import (
-            DependencyDAG,
-            _hazard_edges_fused,
-            _hazard_edges_reference,
-        )
+        from repro.core.reference import hazard_edges_reference
+        from repro.ir.dag import DependencyDAG, _hazard_edges_fused
 
         recorder = DependencyDAG(dag.tasks)
         original = recorder.add_edge
@@ -177,7 +174,7 @@ class TestFusedEquivalence:
             original(producer, consumer)
 
         recorder.add_edge = record
-        hazard = _hazard_edges_fused if fused else _hazard_edges_reference
+        hazard = _hazard_edges_fused if fused else hazard_edges_reference
         hazard(recorder, dag.tasks)
         return dag, log
 
@@ -211,8 +208,11 @@ class TestFusedEquivalence:
             _t(2, 1, 3, 0, CommType.RRC),
             _t(1, 3, 5, 1),
         ]
-        fused = build_dag(transfers, cluster, fused=True)
-        reference = build_dag(transfers, cluster, fused=False)
+        from repro.core.reference import reference_compiler
+
+        fused = build_dag(transfers, cluster)
+        with reference_compiler():
+            reference = build_dag(transfers, cluster)
         assert fused.preds == reference.preds
         assert fused.succs == reference.succs
 

@@ -9,6 +9,7 @@ from repro.core import (
     connection_endpoint_count,
     hpds_schedule,
 )
+from repro.core.reference import reference_compiler
 from repro.ir.dag import build_dag
 from repro.runtime.plan import Side
 from repro.topology import multi_node, single_node
@@ -143,11 +144,12 @@ class TestIndexedEquivalence:
         ]:
             dag, pipeline = compiled(program, cluster)
             indexed = allocate_tbs(
-                dag, pipeline, pipelining_allowance=allowance, indexed=True
+                dag, pipeline, pipelining_allowance=allowance
             )
-            reference = allocate_tbs(
-                dag, pipeline, pipelining_allowance=allowance, indexed=False
-            )
+            with reference_compiler():
+                reference = allocate_tbs(
+                    dag, pipeline, pipelining_allowance=allowance
+                )
             assert self._fingerprint(indexed) == self._fingerprint(reference)
 
     def test_timeline_slots_pipeline_order(self):
